@@ -1,8 +1,9 @@
-"""Benchmark the compiled batch-solve engine against the scalar path.
+"""Benchmark one batched solve against a per-sample loop of solves.
 
 Times the Fig. 7 workload (Config 1 hierarchical uncertainty analysis)
-both ways: the scalar per-snapshot loop (``batch=False``) on a small
-subset, and the compiled vectorized path on the full 1,000 samples.
+both ways: the per-snapshot loop (``batch=False``, one one-sample
+``solve()`` per snapshot) on a small subset, and one batched solve of
+the full 1,000 samples.
 Writes ``BENCH_solve.json`` at the repo root with per-sample timings and
 the speedup, and asserts the engine delivers at least a 10x win.
 """

@@ -193,64 +193,30 @@ class HierarchicalModel:
         ``values`` may be a plain dict or a
         :class:`~repro.core.parameters.ParameterSet`.
 
+        The solve runs the cached compiled hierarchy (:meth:`compile`) as
+        a one-sample batch, so repeated solves of one hierarchy build,
+        validate and compile its models once.
+
         Args:
-            method: Steady-state method for every constituent solve.  The
-                default ``"auto"`` behaves exactly like ``"direct"`` on
-                small submodels and switches to the structured banded
-                solver when a large submodel (a generalized N-instance AS
-                chain, say) exposes the banded-plus-spike topology.
+            method: Steady-state method for every constituent solve, one
+                of :data:`repro.ctmc.batch.BATCH_METHODS`.  The default
+                ``"auto"`` behaves exactly like ``"direct"`` on small
+                submodels and switches to the structured banded solver
+                when a large submodel (a generalized N-instance AS chain,
+                say) exposes the banded-plus-spike topology.
             abstraction: Equivalent-rate semantics for the submodels,
                 ``"mttf"`` (RAScad, default) or ``"flow"`` (exact
                 steady-state flow).  See
                 :func:`repro.ctmc.rewards.equivalent_failure_recovery_rates`.
-        """
-        with obs.span(
-            "hierarchy.solve", model=self.top.name, method=method
-        ):
-            interfaces: Dict[str, SubmodelInterface] = {}
-            for key, model in self._submodels.items():
-                with obs.span("hierarchy.submodel", submodel=key):
-                    interfaces[key] = abstract_submodel(
-                        model,
-                        values,
-                        method=method,
-                        name=key,
-                        abstraction=abstraction,
-                    )
-            bound = resolve_bindings(self._bindings, interfaces)
-            top_values = dict(values)
-            overlap = set(bound) & set(top_values)
-            if overlap:
-                raise ModelError(
-                    f"bound parameter(s) {sorted(overlap)} also appear in "
-                    "the supplied values; remove them from one side to "
-                    "avoid ambiguity"
-                )
-            top_values.update(bound)
-            with obs.span("hierarchy.top", model=self.top.name):
-                system = steady_state_availability(
-                    self.top,
-                    top_values,
-                    method=method,
-                    abstraction=abstraction,
-                )
 
-        reports: Dict[str, SubmodelReport] = {}
-        total_downtime = system.yearly_downtime_minutes
-        for key in self._submodels:
-            minutes = sum(
-                system.downtime_by_state.get(state, 0.0)
-                for state in self._attributions[key]
-            )
-            fraction = minutes / total_downtime if total_downtime > 0 else 0.0
-            reports[key] = SubmodelReport(
-                interface=interfaces[key],
-                downtime_minutes=minutes,
-                downtime_fraction=fraction,
-            )
-        return HierarchicalResult(
-            system=system, submodels=reports, bound_parameters=bound
+        Raises:
+            ModelError: If ``values`` supplies a parameter that a binding
+                also produces.
+        """
+        solution = self.compile().solve_batch(
+            values, n_samples=1, method=method, abstraction=abstraction
         )
+        return solution.result_at(0)
 
     def compile(self) -> "CompiledHierarchy":
         """Compile-once form for repeated solves (see :meth:`solve_batch`).
@@ -276,10 +242,10 @@ class HierarchicalModel:
 
         ``values`` maps parameter names to scalars (shared by all
         samples) or ``(n_samples,)`` arrays.  Equivalent to calling
-        :meth:`solve` once per sample, but compiled once and solved with
-        stacked linear algebra — see ``docs/performance_guide.md``.  The
-        default ``method="auto"`` routes large structured submodels
-        through the banded/sparse engines (see
+        :meth:`solve` once per sample, but solved with stacked linear
+        algebra — see ``docs/performance_guide.md``.  The default
+        ``method="auto"`` routes large structured submodels through the
+        banded/sparse engines (see
         :data:`repro.ctmc.batch.BATCH_METHODS`).
         """
         return self.compile().solve_batch(
@@ -304,18 +270,79 @@ class HierarchicalModel:
         For t -> infinity this converges to the steady-state
         availability (tested); for short horizons it reflects the
         deployment starting healthy.
+
+        Raises:
+            ModelError: If ``values`` supplies a parameter that a binding
+                also produces (as :meth:`solve` does).
         """
         from repro.ctmc.transient import interval_availability
 
-        interfaces: Dict[str, SubmodelInterface] = {}
-        for key, model in self._submodels.items():
-            interfaces[key] = abstract_submodel(
-                model, values, method=method, name=key, abstraction=abstraction
-            )
-        bound = resolve_bindings(self._bindings, interfaces)
+        solved = self.solve(values, method=method, abstraction=abstraction)
         top_values = dict(values)
-        top_values.update(bound)
+        top_values.update(solved.bound_parameters)
         return interval_availability(self.top, t, top_values)
+
+
+def _solve_interpreted(
+    hierarchy: HierarchicalModel,
+    values: Mapping[str, float],
+    method: str = "auto",
+    abstraction: str = "mttf",
+) -> HierarchicalResult:
+    """Interpreted hierarchical solve: the differential-test oracle.
+
+    Abstracts each submodel with the scalar steady-state routines, binds,
+    and solves the top model, without compiling anything.  No production
+    path calls it; ``tests/hierarchy/test_one_solve_path.py`` holds
+    :meth:`HierarchicalModel.solve` to its answers.
+    """
+    with obs.span(
+        "hierarchy.solve", model=hierarchy.top.name, method=method
+    ):
+        interfaces: Dict[str, SubmodelInterface] = {}
+        for key, model in hierarchy._submodels.items():
+            with obs.span("hierarchy.submodel", submodel=key):
+                interfaces[key] = abstract_submodel(
+                    model,
+                    values,
+                    method=method,
+                    name=key,
+                    abstraction=abstraction,
+                )
+        bound = resolve_bindings(hierarchy._bindings, interfaces)
+        top_values = dict(values)
+        overlap = set(bound) & set(top_values)
+        if overlap:
+            raise ModelError(
+                f"bound parameter(s) {sorted(overlap)} also appear in "
+                "the supplied values; remove them from one side to "
+                "avoid ambiguity"
+            )
+        top_values.update(bound)
+        with obs.span("hierarchy.top", model=hierarchy.top.name):
+            system = steady_state_availability(
+                hierarchy.top,
+                top_values,
+                method=method,
+                abstraction=abstraction,
+            )
+
+    reports: Dict[str, SubmodelReport] = {}
+    total_downtime = system.yearly_downtime_minutes
+    for key in hierarchy._submodels:
+        minutes = sum(
+            system.downtime_by_state.get(state, 0.0)
+            for state in hierarchy._attributions[key]
+        )
+        fraction = minutes / total_downtime if total_downtime > 0 else 0.0
+        reports[key] = SubmodelReport(
+            interface=interfaces[key],
+            downtime_minutes=minutes,
+            downtime_fraction=fraction,
+        )
+    return HierarchicalResult(
+        system=system, submodels=reports, bound_parameters=bound
+    )
 
 
 class CompiledHierarchy:
@@ -326,9 +353,11 @@ class CompiledHierarchy:
     matrix of parameter samples through submodel abstraction, binding
     resolution and the top-model solve using stacked linear algebra.
 
-    For ``method="direct"`` on arithmetic-only rate expressions the
-    per-sample results are bit-identical to :meth:`HierarchicalModel.solve`
-    (enforced by ``tests/hierarchy/test_compiled.py``).
+    :meth:`HierarchicalModel.solve` is a one-sample batch of this
+    engine.  For ``method="direct"`` on arithmetic-only rate expressions
+    the per-sample results are bit-identical to the interpreted oracle
+    :func:`_solve_interpreted` (enforced by
+    ``tests/hierarchy/test_one_solve_path.py``).
     """
 
     def __init__(self, hierarchy: HierarchicalModel) -> None:

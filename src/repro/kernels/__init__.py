@@ -5,9 +5,6 @@ vectorized rate program; this package turns the remaining per-solve work
 into *kernels* — code specialized per model shape, selected once per
 process from a ladder of backends:
 
-* ``numba`` — JIT-compiled elimination loops, used when the optional
-  ``numba`` package is importable (it is **not** a dependency; the
-  container images for CI exercise both presence and absence);
 * ``cext`` — a small C kernel compiled on first use with the system C
   compiler (``cc``/``gcc``/``clang``) and loaded through :mod:`ctypes`;
   no build step, no new dependency, cached under
@@ -18,12 +15,11 @@ process from a ladder of backends:
   :mod:`repro.kernels.banded`), not a Python loop.
 
 Selection happens at import time from the ``REPRO_KERNEL`` environment
-variable (``auto``, ``numba``, ``cext`` or ``numpy``; default ``auto``)
-and can be changed at runtime with :func:`set_backend` — the CLI's
-global ``--kernel`` flag does exactly that.  A backend that turns out to
-be unusable at call time (numba compile failure, missing C compiler)
-demotes itself to ``numpy`` for the rest of the process instead of
-failing the solve.
+variable (one of :data:`KERNEL_CHOICES`; default ``auto``) and can be
+changed at runtime with :func:`set_backend` — the CLI's global
+``--kernel`` flag does exactly that.  A backend that turns out to be
+unusable at call time (a failed C build) demotes itself to ``numpy``
+for the rest of the process instead of failing the solve.
 
 Every backend is **value-compatible**: the rate program is bit-identical
 to the interpreted path by construction (same expressions evaluated on
@@ -34,23 +30,18 @@ with the reference GTH elimination to ~1e-12, enforced by
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from typing import Tuple
 
 from repro.exceptions import KernelError
 
 #: Backend names, in auto-selection order (first available wins).
-BACKEND_LADDER: Tuple[str, ...] = ("numba", "cext", "numpy")
+BACKEND_LADDER: Tuple[str, ...] = ("cext", "numpy")
+
+#: Every accepted backend request: ``"auto"`` runs the ladder.
+KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + BACKEND_LADDER
 
 _backend: str = "numpy"
-
-
-def _numba_available() -> bool:
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic paths
-        return False
 
 
 def _cext_available() -> bool:
@@ -67,8 +58,6 @@ def available_backends() -> Tuple[str, ...]:
     out = []
     for name in BACKEND_LADDER:
         if name == "numpy":
-            out.append(name)
-        elif name == "numba" and _numba_available():
             out.append(name)
         elif name == "cext" and _cext_available():
             out.append(name)
@@ -95,7 +84,7 @@ def set_backend(name: str) -> str:
     if name not in BACKEND_LADDER:
         raise KernelError(
             f"unknown kernel backend {name!r}; expected one of "
-            f"{('auto',) + BACKEND_LADDER}"
+            f"{KERNEL_CHOICES}"
         )
     if name != "numpy" and name not in available_backends():
         raise KernelError(
@@ -110,8 +99,7 @@ def demote_to_numpy(reason: str) -> None:
     """Fall back to the numpy backend for the rest of the process.
 
     Called by kernel implementations when their backend fails at run
-    time (numba compile error, C build failure) — solving must keep
-    working, just slower.
+    time (a failed C build) — solving must keep working, just slower.
     """
     global _backend
     if _backend != "numpy":
@@ -129,7 +117,7 @@ def _select_initial() -> str:
     if requested not in BACKEND_LADDER:
         raise KernelError(
             f"REPRO_KERNEL={requested!r} is not a known backend; expected "
-            f"one of {('auto',) + BACKEND_LADDER}"
+            f"one of {KERNEL_CHOICES}"
         )
     if requested != "numpy" and requested not in available_backends():
         # An explicitly requested but unavailable backend demotes with a
@@ -144,6 +132,7 @@ from repro.kernels.program import RateProgram  # noqa: E402  (public API)
 
 __all__ = [
     "BACKEND_LADDER",
+    "KERNEL_CHOICES",
     "RateProgram",
     "available_backends",
     "backend_name",

@@ -2,7 +2,7 @@
 
 The interpreted reference (:func:`repro.ctmc.sparse.gth_banded_batch`)
 is a Python loop over states — O(n) interpreter iterations per batch.
-This module compiles the same solve three ways, selected by the active
+This module compiles the same solve two ways, selected by the active
 backend (:func:`repro.kernels.backend_name`):
 
 * **numpy** — reformulate ``pi Q = 0, sum(pi) = 1`` as one banded linear
@@ -19,8 +19,6 @@ backend (:func:`repro.kernels.backend_name`):
   pool (:mod:`repro.parallel`) relies on.
 * **cext** — the C GTH elimination from :mod:`repro.kernels.cext`,
   assembled through the same precomputed scatter maps.
-* **numba** — an ``@njit`` transcription of the same elimination,
-  compiled lazily on first use.
 
 All assembly goes through precomputed gather/segment-sum maps
 (:class:`_ScatterMap`) instead of ``np.add.at`` or sparse matmuls — the
@@ -172,7 +170,7 @@ class BandedKernelPlan:
             t[init], g[init] - 1, -np.ones(int(init.sum())), self.nm
         )
 
-        # GTH band-plus-spike storage for the cext / numba eliminators
+        # GTH band-plus-spike storage for the cext eliminator
         # (same layout as gth_banded_batch).
         in_band = structure.band_slots >= 0
         self.band_map = _ScatterMap(
@@ -300,95 +298,6 @@ def _solve_cext(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarra
     return pis
 
 
-# numba backend --------------------------------------------------------------
-
-_numba_fn = None
-_numba_failed = False
-
-
-def _numba_kernel():
-    """Build (once) the ``@njit`` GTH eliminator; ``None`` on failure."""
-    global _numba_fn, _numba_failed
-    if _numba_fn is not None:
-        return _numba_fn
-    if _numba_failed:
-        return None
-    try:
-        import numba
-
-        @numba.njit(cache=False, fastmath=False)
-        def gth(band, spike, pis, n, w, u, l):  # pragma: no cover - needs numba
-            k_samples = band.shape[0]
-            for s in range(k_samples):
-                B = band[s]
-                S = spike[s]
-                P = pis[s]
-                for k in range(n - 1, 0, -1):
-                    lo_row = max(1, k - l)
-                    lo_col = max(0, k - u)
-                    total = S[k]
-                    for j in range(lo_row, k):
-                        total += B[j * w + u + k - j]
-                    if not total > 0.0:
-                        return 1 + s
-                    for i in range(lo_col, k):
-                        factor = B[k * w + u + i - k] / total
-                        B[k * w + u + i - k] = factor
-                        if factor != 0.0:
-                            for j in range(lo_row, k):
-                                B[j * w + u + i - j] += (
-                                    factor * B[j * w + u + k - j]
-                                )
-                            S[i] += factor * S[k]
-                P[0] = 1.0
-                acc_sum = 1.0
-                for k in range(1, n):
-                    lo_col = max(0, k - u)
-                    acc = 0.0
-                    for i in range(lo_col, k):
-                        acc += P[i] * B[k * w + u + i - k]
-                    P[k] = acc
-                    acc_sum += acc
-                if not acc_sum > 0.0 or (acc_sum - acc_sum) != 0.0:
-                    return -(1 + s)
-                for k in range(n):
-                    P[k] /= acc_sum
-            return 0
-
-        _numba_fn = gth
-        return _numba_fn
-    except Exception:  # noqa: BLE001 - any numba failure demotes
-        _numba_failed = True
-        return None
-
-
-def _solve_numba(plan: BandedKernelPlan, rates: np.ndarray) -> Optional[np.ndarray]:
-    gth = _numba_kernel()
-    if gth is None:
-        return None
-    st = plan.structure
-    k = rates.shape[0]
-    band = plan.band_map.apply(rates)
-    spike = plan.spike_map.apply(rates)
-    pis = np.empty((k, st.n))
-    try:
-        status = gth(band, spike, pis, st.n, st.width, st.upper, st.lower)
-    except Exception:  # noqa: BLE001 - pragma: no cover - jit runtime failure
-        return None
-    if status > 0:
-        raise SolverError(
-            "GTH elimination failed: no transition from eliminated "
-            "state back into the remaining block (reducible chain?) "
-            f"(sample {status - 1})"
-        )
-    if status < 0:
-        raise SolverError(
-            "banded GTH elimination produced a non-normalizable vector "
-            f"(sample {-status - 1})"
-        )
-    return pis
-
-
 # Dispatch -------------------------------------------------------------------
 
 
@@ -411,12 +320,7 @@ def banded_steady_state(compiled, rates: np.ndarray) -> np.ndarray:
 
     plan = banded_kernel_plan(compiled)
     backend = kernels.backend_name()
-    if backend == "numba":
-        pis = _solve_numba(plan, rates)
-        if pis is not None:
-            return pis
-        kernels.demote_to_numpy("numba banded kernel unavailable")
-    elif backend == "cext":
+    if backend == "cext":
         pis = _solve_cext(plan, rates)
         if pis is not None:
             return pis

@@ -185,38 +185,22 @@ class JsasConfiguration:
         or any mapping providing the same names.  ``N_pair`` is supplied
         automatically from the configuration.
 
-        The default ``method="auto"`` is identical to ``"direct"`` for
-        the paper-sized shapes and switches the AS submodel to the O(n)
-        banded solver once ``n_instances`` makes it large.
+        Solves through the shared per-shape hierarchy (:meth:`hierarchy`),
+        so model construction, validation and rate compilation happen
+        once per shape, not once per call.  The default ``method="auto"``
+        is identical to ``"direct"`` for the paper-sized shapes and
+        switches the AS submodel to the O(n) banded solver once
+        ``n_instances`` makes it large.
         """
         with obs.span("jsas.solve", config=self.name, method=method):
-            return self.build_hierarchy().solve(
+            return self.hierarchy().solve(
                 self.merged_values(values),
                 method=method,
                 abstraction=abstraction,
             )
 
-    def solve_compiled(
-        self,
-        values: Mapping[str, float],
-        method: str = "auto",
-        abstraction: str = "mttf",
-    ) -> HierarchicalResult:
-        """Like :meth:`solve`, through the compiled engine.
-
-        Returns the identical :class:`HierarchicalResult` (bit-for-bit
-        with ``method="direct"``) but amortizes model construction,
-        validation and rate compilation across calls — the Table 3
-        comparison re-solves each configuration shape many times.
-        """
-        merged = {
-            name: float(value)
-            for name, value in self.merged_values(values).items()
-        }
-        solution = self.hierarchy().solve_batch(
-            merged, n_samples=1, method=method, abstraction=abstraction
-        )
-        return solution.result_at(0)
+    #: Former name of :meth:`solve`, kept as an alias.
+    solve_compiled = solve
 
     def solve_batch(
         self,

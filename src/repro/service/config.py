@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
+from repro.kernels import KERNEL_CHOICES
 from repro.service.errors import BadRequest
 
 
@@ -62,7 +63,7 @@ class ServiceConfig:
             queue (see :mod:`repro.service.prefork`).  Payloads are
             bit-identical either way.
         kernel: Solve-kernel backend override applied at service boot
-            (``"auto"``, ``"numpy"``, ``"cext"`` or ``"numba"``);
+            (one of :data:`repro.kernels.KERNEL_CHOICES`);
             ``None`` keeps the process-wide default.  Pre-forked workers
             inherit the selection.
         trace_dir: Directory for per-process distributed-trace JSONL
@@ -163,10 +164,8 @@ class ServiceConfig:
             raise BadRequest(
                 f"worker_processes must be >= 0, got {self.worker_processes}"
             )
-        if self.kernel is not None and self.kernel not in (
-            "auto", "numpy", "cext", "numba"
-        ):
+        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
             raise BadRequest(
                 f"unknown kernel {self.kernel!r}; expected one of "
-                "'auto', 'numpy', 'cext', 'numba'"
+                f"{KERNEL_CHOICES}"
             )

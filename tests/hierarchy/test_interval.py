@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ModelError
 from repro.models.jsas import CONFIG_1, PAPER_PARAMETERS
 
 
@@ -55,3 +56,10 @@ class TestHierarchicalIntervalAvailability:
         # But the warm-up effect is negligible at yearly scale: well
         # within 1% of the budget (MTTR is hours, the year is 8766 h).
         assert first_year_minutes > 0.99 * steady_minutes
+
+    def test_value_colliding_with_a_binding_rejected(self, hierarchy, values):
+        """A caller value for a bound parameter is ambiguous, exactly as
+        in the steady-state solve; it must not silently lose."""
+        colliding = dict(values, La_appl=123.0)
+        with pytest.raises(ModelError, match="also appear"):
+            hierarchy.interval_availability(colliding, t=24.0)

@@ -42,15 +42,19 @@ class TestSetBackend:
         with pytest.raises(KernelError, match="unknown kernel backend"):
             kernels.set_backend("fortran")
 
-    def test_unavailable_backend_rejected(self):
-        missing = [
-            name for name in kernels.BACKEND_LADDER
-            if name not in kernels.available_backends()
-        ]
-        if not missing:
-            pytest.skip("every backend is available here")
+    def test_removed_numba_backend_rejected(self):
+        with pytest.raises(KernelError, match="unknown kernel backend"):
+            kernels.set_backend("numba")
+
+    def test_unavailable_backend_rejected(self, monkeypatch):
+        # Simulate a host without a C compiler so the check does not
+        # depend on what this machine has installed.
+        monkeypatch.setattr(kernels, "_cext_available", lambda: False)
         with pytest.raises(KernelError, match="not available"):
-            kernels.set_backend(missing[0])
+            kernels.set_backend("cext")
+
+    def test_choices_are_auto_plus_the_ladder(self):
+        assert kernels.KERNEL_CHOICES == ("auto",) + kernels.BACKEND_LADDER
 
     def test_demotion_is_sticky(self, restore_backend):
         kernels.set_backend("numpy")

@@ -1,47 +1,11 @@
-"""Compiled JSAS configuration solves vs. the scalar engine."""
+"""The per-shape hierarchy cache and batch solves of JSAS configurations.
 
-import pytest
+Parity of ``solve()`` with the interpreted oracle on every shape lives in
+``tests/hierarchy/test_one_solve_path.py``.
+"""
 
-from repro.exceptions import EstimationError
-from repro.models.jsas.configs import (
-    TABLE3_CONFIGURATIONS,
-    compare_configurations,
-    optimal_configuration,
-)
 from repro.models.jsas.parameters import PAPER_PARAMETERS
 from repro.models.jsas.system import JsasConfiguration
-
-
-@pytest.mark.parametrize("shape", TABLE3_CONFIGURATIONS, ids=str)
-def test_solve_compiled_matches_solve(shape):
-    """Every Table 3 shape — including the HADB-less (1, 0) baseline."""
-    n_instances, n_pairs = shape
-    config = JsasConfiguration(n_instances=n_instances, n_pairs=n_pairs)
-    values = PAPER_PARAMETERS.to_dict()
-    scalar = config.solve(values)
-    compiled = config.solve_compiled(values)
-    assert compiled.system == scalar.system
-    assert compiled.bound_parameters == scalar.bound_parameters
-    assert compiled.submodels == scalar.submodels
-
-
-def test_compare_configurations_engines_agree():
-    rows_compiled = compare_configurations()
-    rows_scalar = compare_configurations(engine="scalar")
-    assert len(rows_compiled) == len(rows_scalar)
-    for compiled, scalar in zip(rows_compiled, rows_scalar):
-        assert compiled.availability == scalar.availability
-        assert (
-            compiled.yearly_downtime_minutes == scalar.yearly_downtime_minutes
-        )
-        assert compiled.mtbf_hours == scalar.mtbf_hours
-    # The paper's conclusion survives either engine: 4 AS + 4 pairs wins.
-    assert optimal_configuration(rows_compiled).n_instances == 4
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(EstimationError, match="unknown engine"):
-        compare_configurations(engine="quantum")
 
 
 def test_hierarchy_cache_shared_between_equal_shapes():

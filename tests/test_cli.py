@@ -41,6 +41,20 @@ class TestParsing:
         assert args.queue_limit == 16 and args.cache_file == "solves.jsonl"
 
 
+class TestKernelFlag:
+    def test_choices_follow_the_backend_ladder(self):
+        from repro import kernels
+
+        for name in kernels.KERNEL_CHOICES:
+            args = build_parser().parse_args(["--kernel", name, "solve"])
+            assert args.kernel == name
+
+    @pytest.mark.parametrize("name", ["numba", "fortran"])
+    def test_unknown_kernel_rejected(self, name):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--kernel", name, "solve"])
+
+
 class TestParserErrors:
     """Parse failures exit 2 and route through the Reporter (stderr)."""
 
