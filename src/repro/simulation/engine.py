@@ -2,9 +2,11 @@
 
 Design points:
 
-* a binary-heap event calendar keyed by ``(time, sequence)`` so
+* a binary-heap event calendar of ``(time, sequence, event)`` tuples, so
   simultaneous events fire in schedule order — runs are exactly
-  reproducible for a given seed;
+  reproducible for a given seed.  Sequence numbers are unique, so the
+  heap orders entries by comparing a float and an int in C and never
+  reaches the :class:`Event` itself (which is not orderable);
 * events carry a callback and optional payload; callbacks may schedule
   further events and may cancel pending ones;
 * the engine never moves time backwards and refuses to schedule into the
@@ -17,7 +19,6 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro import obs
@@ -26,16 +27,32 @@ from repro.exceptions import SimulationError
 EventCallback = Callable[["SimulationEngine", Any], None]
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled event; ordering is by (time, sequence number)."""
+    """A scheduled event.  The calendar orders it by ``(time, sequence)``;
+    events themselves do not compare."""
 
-    time: float
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "sequence", "callback", "payload", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: EventCallback,
+        payload: Any = None,
+        label: str = "",
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.payload = payload
+        self.label = label
+        self.cancelled = False
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, sequence={self.sequence!r}, "
+            f"label={self.label!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -69,7 +86,7 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._calendar if not e.cancelled)
+        return sum(1 for _, _, e in self._calendar if not e.cancelled)
 
     def schedule(
         self,
@@ -87,14 +104,10 @@ class SimulationEngine:
                 f"event delay must be finite and non-negative, got {delay} "
                 f"(label={label!r})"
             )
-        event = Event(
-            time=self._now + delay,
-            sequence=next(self._sequence),
-            callback=callback,
-            payload=payload,
-            label=label,
-        )
-        heapq.heappush(self._calendar, event)
+        time_at = self._now + delay
+        sequence = next(self._sequence)
+        event = Event(time_at, sequence, callback, payload, label)
+        heapq.heappush(self._calendar, (time_at, sequence, event))
         return event
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> None:
@@ -119,18 +132,22 @@ class SimulationEngine:
         if instrumented:
             fired_before = self._events_fired
             wall_before = time.perf_counter()
-        while self._calendar:
-            event = self._calendar[0]
-            if event.time > end_time:
+        # The loop runs once per event: the calendar, heappop and the
+        # event cap live in locals, and the heap top is read in place.
+        calendar = self._calendar
+        pop = heapq.heappop
+        limit = math.inf if max_events is None else max_events
+        while calendar:
+            if calendar[0][0] > end_time:
                 break
-            heapq.heappop(self._calendar)
+            when, _, event = pop(calendar)
             if event.cancelled:
                 continue
-            if event.time < self._now:  # pragma: no cover - defensive
+            if when < self._now:  # pragma: no cover - defensive
                 raise SimulationError("event calendar went backwards")
-            self._now = event.time
+            self._now = when
             self._events_fired += 1
-            if max_events is not None and self._events_fired > max_events:
+            if self._events_fired > limit:
                 raise SimulationError(
                     f"exceeded {max_events} events before reaching "
                     f"t={end_time}; runaway event loop?"
@@ -149,7 +166,7 @@ class SimulationEngine:
         while self._calendar:
             # Advance to the next pending event; callbacks may schedule
             # more, so re-check the calendar each pass.
-            self.run_until(self._calendar[0].time, max_events=max_events)
+            self.run_until(self._calendar[0][0], max_events=max_events)
 
 
 class StateTimeAccumulator:

@@ -120,6 +120,17 @@ class WorkloadRunner:
         self._live: Dict[str, int] = {
             name: 0 for name in cluster.instances
         }
+        #: per-instance epoch, bumped whenever the instance's sessions are
+        #: failed over or lost; a completion event carries the epoch it
+        #: was scheduled in, so one from an earlier epoch is stale
+        self._epoch: Dict[str, int] = {
+            name: 0 for name in cluster.instances
+        }
+        #: the instances in name order, for the round-robin; names are
+        #: fixed at construction, so the order never changes
+        self._by_name = [
+            cluster.instances[name] for name in sorted(cluster.instances)
+        ]
         self._next_instance = 0
 
     def start(self) -> None:
@@ -133,45 +144,53 @@ class WorkloadRunner:
 
     def _session_arrives(self, engine: SimulationEngine, _payload) -> None:
         self._schedule_arrival()
-        serving = self.cluster.serving_instances()
+        serving = [i for i in self._by_name if i.serving]
         if not self.cluster.system_up or not serving:
             self.stats.sessions_rejected += 1
             return
         self.stats.sessions_started += 1
-        # Sticky round-robin, like the paper's load balancer.
-        names = sorted(i.name for i in serving)
-        chosen = names[self._next_instance % len(names)]
+        # Sticky round-robin over the serving instances in name order,
+        # like the paper's load balancer.
+        chosen = serving[self._next_instance % len(serving)]
         self._next_instance += 1
-        self._live[chosen] += 1
-        self.cluster.instances[chosen].sessions += 1
+        name = chosen.name
+        self._live[name] += 1
+        chosen.sessions += 1
         duration = self.rng.exponential(self.profile.session_duration_hours)
         engine.schedule(
             duration,
             self._session_completes,
-            payload=chosen,
+            payload=(name, self._epoch[name]),
             label="session_end",
         )
 
-    def _session_completes(self, engine: SimulationEngine, instance: str) -> None:
-        if self._live.get(instance, 0) <= 0:
+    def _session_completes(self, engine: SimulationEngine, payload) -> None:
+        name, epoch = payload
+        if epoch != self._epoch[name]:
             # The session was failed over or lost; its original completion
             # event is stale.
             return
-        self._live[instance] -= 1
-        live_instance = self.cluster.instances.get(instance)
-        if live_instance is not None and live_instance.sessions > 0:
-            live_instance.sessions -= 1
+        self._live[name] -= 1
+        self.cluster.instances[name].sessions -= 1
         self.stats.sessions_completed += 1
         self.stats.requests_completed += self.profile.requests_per_session
+
+    def _end_epoch(self, names) -> int:
+        """Drop the live sessions of ``names``; returns how many there were."""
+        ended = 0
+        for name in names:
+            self._epoch[name] += 1
+            ended += self._live[name]
+            self._live[name] = 0
+        return ended
 
     # Cluster observer hooks ------------------------------------------------
 
     def on_instance_failed(self, name: str, now: float) -> None:
         """Sessions on the failed instance fail over or are lost."""
-        n_sessions = self._live.get(name, 0)
+        n_sessions = self._end_epoch([name])
         if n_sessions == 0:
             return
-        self._live[name] = 0
         survivors = [
             i.name
             for i in self.cluster.serving_instances()
@@ -190,34 +209,25 @@ class WorkloadRunner:
                 self.engine.schedule(
                     remaining,
                     self._session_completes,
-                    payload=target,
+                    payload=(target, self._epoch[target]),
                     label="session_end",
                 )
         else:
             self.stats.transactions_lost += n_sessions
 
     def on_pair_down(self, pair_index: int, now: float) -> None:
-        """A pair loss destroys that fragment of every live session."""
-        n_pairs = self.cluster.config.n_hadb_pairs
-        total_live = sum(self._live.values())
-        if total_live == 0:
-            return
-        # Session data is partitioned across all pairs, so losing any
-        # pair loses a fragment of (approximately) every session.
-        lost = total_live
-        del n_pairs
-        self.stats.transactions_lost += lost
-        for name in self._live:
-            self._live[name] = 0
-        for instance in self.cluster.instances.values():
-            instance.sessions = 0
+        """A pair loss destroys that fragment of every live session.
+
+        Session data is partitioned across all pairs, so losing any pair
+        loses a fragment of (approximately) every session.
+        """
+        self._lose_all_sessions()
 
     def on_system_down(self, now: float) -> None:
         """Total outage: every in-flight session is lost."""
-        total_live = sum(self._live.values())
-        if total_live:
-            self.stats.transactions_lost += total_live
-            for name in self._live:
-                self._live[name] = 0
-            for instance in self.cluster.instances.values():
-                instance.sessions = 0
+        self._lose_all_sessions()
+
+    def _lose_all_sessions(self) -> None:
+        self.stats.transactions_lost += self._end_epoch(self._live)
+        for instance in self.cluster.instances.values():
+            instance.sessions = 0

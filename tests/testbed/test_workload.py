@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import TestbedError
 from repro.simulation.engine import SimulationEngine
 from repro.testbed.cluster import ClusterConfig, TestCluster
+from repro.testbed.entities import NodeState
 from repro.testbed.faults import FaultSpec
 from repro.testbed.workload import WorkloadProfile, WorkloadRunner
 
@@ -99,3 +100,103 @@ class TestFailureInteraction:
         cluster.inject(FaultSpec("hadb_kill_all_processes", target="hadb-0a"))
         cluster.inject(FaultSpec("hadb_kill_all_processes", target="hadb-0b"))
         assert runner.stats.transactions_lost >= live_before
+
+
+class LedgerEngine(SimulationEngine):
+    """Notes, for each session completion that fires, when it was
+    scheduled, when it fired and which instances lost a live session."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.runner = None
+        self.completions = []
+
+    def schedule(self, delay, callback, payload=None, label=""):
+        if label == "session_end":
+            scheduled_at = self.now
+
+            def completes(engine, event_payload, _callback=callback):
+                before = dict(self.runner._live)
+                _callback(engine, event_payload)
+                ended = sorted(
+                    name for name, n in self.runner._live.items()
+                    if n < before[name]
+                )
+                self.completions.append((scheduled_at, engine.now, ended))
+
+            callback = completes
+        return super().schedule(delay, callback, payload, label)
+
+
+class TestStaleCompletions:
+    def test_pre_failure_completion_does_not_end_rejoined_sessions(self):
+        engine = LedgerEngine()
+        cluster = TestCluster(
+            engine, ClusterConfig(), rng=np.random.default_rng(3)
+        )
+        runner = WorkloadRunner(
+            engine, cluster, WorkloadProfile(), np.random.default_rng(3)
+        )
+        engine.runner = runner
+        cluster.add_observer(runner)
+        runner.start()
+        engine.run_until(2.0)
+        assert runner._live["as1"] > 0
+        failed_at = engine.now
+        cluster.inject(FaultSpec("as_kill_processes", target="as1"))
+        while not cluster.instances["as1"].serving:
+            engine.run_until(engine.now + 1.0 / 3600.0)
+        rejoined_at = engine.now
+        engine.run_until(rejoined_at + 1.0)
+        assert runner._live["as1"] > 0
+
+        # Completions scheduled before the failure that fire after as1
+        # rejoined: as2's own sessions end, as1's are stale and end
+        # nothing — every session on as1 now was pinned after the rejoin.
+        late = [
+            ended for scheduled_at, fired_at, ended in engine.completions
+            if scheduled_at < failed_at and fired_at > rejoined_at
+        ]
+        assert [ended for ended in late if ended != ["as2"]]
+        assert [ended for ended in late if "as1" in ended] == []
+
+    def test_session_accounting_balances_after_failovers(self):
+        engine, cluster, runner = make_rig()
+        engine.run_until(2.0)
+        cluster.inject(FaultSpec("as_kill_processes", target="as1"))
+        engine.run_until(3.0)
+        cluster.inject(FaultSpec("as_power_unplug", target="as2"))
+        engine.run_until(5.0)
+        stats = runner.stats
+        assert stats.sessions_failed_over > 0
+        open_sessions = sum(runner._live.values())
+        assert open_sessions == sum(
+            instance.sessions for instance in cluster.instances.values()
+        )
+        assert stats.sessions_started == (
+            stats.sessions_completed + stats.transactions_lost + open_sessions
+        )
+
+
+class TestRoundRobinOrder:
+    def test_arrivals_follow_sorted_serving_names(self):
+        engine, cluster, runner = make_rig(
+            profile=WorkloadProfile(session_duration_hours=1000.0),
+            n_as_instances=12,
+        )
+        for name in ("as2", "as7", "as11"):
+            cluster.instances[name].take_down(NodeState.RESTARTING)
+        serving = sorted(
+            name for name, i in cluster.instances.items() if i.serving
+        )
+        assert serving[:4] == ["as1", "as10", "as12", "as3"]
+
+        chosen = []
+        for _ in range(2 * len(serving) + 3):
+            before = dict(runner._live)
+            runner._session_arrives(engine, None)
+            chosen += [n for n in runner._live if runner._live[n] > before[n]]
+        assert chosen == [
+            serving[k % len(serving)] for k in range(len(chosen))
+        ]
+        assert len(chosen) == 2 * len(serving) + 3
