@@ -19,6 +19,8 @@ evaluation server instead of an in-process library call:
   429 + ``Retry-After`` rather than queueing unboundedly (metastable
   overload is a failure mode in its own right — Alvaro et al.,
   arXiv:2510.03551);
+* :mod:`~repro.service.wire` — the HTTP framing the server and the
+  cluster router share (one write per response, counted resets);
 * :mod:`~repro.service.client` — a stdlib ``urllib`` client.
 
 Start one with ``repro-avail serve`` or embed it::

@@ -134,18 +134,35 @@ def idempotency_key(path: str, document: Mapping[str, Any]) -> str:
 
 
 class _NoDelayHTTPConnection(http.client.HTTPConnection):
-    """``HTTPConnection`` that disables Nagle as soon as it dials.
+    """``HTTPConnection`` that disables Nagle and sends each request in
+    one write.
 
     Nagle batching interacts with the peer's delayed ACK and can stall
     a keep-alive request/response round trip by ~40 ms — fatal when the
     exchange itself is sub-millisecond (cache hits).  Connecting stays
     lazy (first ``request``) so dial errors still surface inside the
     caller's transport-error handling.
+
+    The stock connection sends the request line plus headers, then the
+    body, as two writes; a ``bytes`` body here rides in the same write,
+    so the server wakes once per request.
     """
 
     def connect(self) -> None:
         super().connect()
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def _send_output(
+        self, message_body: Any = None, encode_chunked: bool = False
+    ) -> None:
+        if not isinstance(message_body, bytes) or encode_chunked:
+            super()._send_output(message_body, encode_chunked)
+            return
+        # Joined with CRLF: "...last header", "", body -> blank line.
+        self._buffer.extend((b"", message_body))
+        message = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(message)
 
 
 class HttpConnectionPool:

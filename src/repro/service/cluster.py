@@ -32,6 +32,13 @@ Requests are idempotent end to end (content-addressed solves plus the
 ``Idempotency-Key`` header), which is what makes the router's retries
 safe.
 
+The router only routes: a ``/v1/*`` body travels to its owner shard as
+the bytes the client sent, and the shard's status, ``Content-Type``,
+``Retry-After`` and body come back verbatim.  JSON is parsed only when
+a request arrives without an ``Idempotency-Key`` (the router then
+derives the same digest the client would have sent) and for the
+router's own endpoints.
+
 Observability: ``GET /healthz`` aggregates every shard's health
 document under the router's own; ``GET /metrics`` concatenates the
 shards' Prometheus expositions with an injected ``shard="shard-N"``
@@ -59,7 +66,6 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import chaos, obs
@@ -76,6 +82,12 @@ from repro.service.client import HttpConnectionPool, idempotency_key
 from repro.service.config import ServiceConfig
 from repro.service.errors import BadRequest, ServiceError
 from repro.service.ring import DEFAULT_REPLICAS, ConsistentHashRing
+from repro.service.wire import (
+    MessageHandler,
+    ThreadingServer,
+    parse_body,
+    require_object,
+)
 
 
 @dataclass(frozen=True)
@@ -210,6 +222,19 @@ def _shard_main(conn: Any, config: ServiceConfig) -> None:
     server.serve_forever()
 
 
+def _json_answer(
+    status: int,
+    payload: Mapping[str, Any],
+    headers: Optional[Mapping[str, str]] = None,
+) -> Tuple[int, bytes, Dict[str, str]]:
+    """A router-authored answer in :meth:`ClusterService.forward`'s shape."""
+    return (
+        status,
+        json.dumps(payload, sort_keys=True).encode("utf-8"),
+        {"Content-Type": "application/json", **(headers or {})},
+    )
+
+
 class Shard:
     """Lifecycle record of one shard process slot.
 
@@ -251,13 +276,13 @@ class Shard:
 class ClusterService:
     """The HTTP-agnostic router core: ring, shard lifecycle, forwarding.
 
-    The HTTP layer (:class:`ClusterServer`) only parses and serializes;
-    every decision — routing, failover, respawn, aggregation — lives
-    here so tests can drive it directly.
+    The HTTP layer (:class:`ClusterServer`) only frames requests and
+    responses; every decision — routing, failover, respawn, aggregation
+    — lives here so tests can drive it directly.
     """
 
     #: Headers copied from a shard response to the client.
-    _FORWARD_HEADERS = ("Retry-After",)
+    _FORWARD_HEADERS = ("Content-Type", "Retry-After")
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
@@ -297,6 +322,8 @@ class ClusterService:
             "cluster_shard_deaths_detected_total",
             "cluster_shard_respawns_total",
             "cluster_shed_total",
+            "cluster_responses_orphaned_total",
+            "cluster_connections_reset_total",
         ):
             obs.counter(name)
         # Router-local request latency, exported from /metrics under
@@ -441,13 +468,17 @@ class ClusterService:
     # Routing -------------------------------------------------------------
 
     def routing_key(
-        self, path: str, document: Mapping[str, Any], header_key: Optional[str]
+        self,
+        path: str,
+        document: Optional[Mapping[str, Any]],
+        header_key: Optional[str],
     ) -> str:
         """The consistent-hash key for one request.
 
         The client's ``Idempotency-Key`` header when present (so a
         retry routes identically even if the body re-serializes
-        differently), else the same digest computed server-side.
+        differently, and the body never needs parsing), else the same
+        digest computed server-side from the parsed ``document``.
         """
         return header_key or idempotency_key(path, document)
 
@@ -459,15 +490,17 @@ class ClusterService:
     def forward(
         self,
         path: str,
-        document: Mapping[str, Any],
-        header_key: Optional[str] = None,
+        body: bytes,
+        key: str,
         traceparent: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Route one ``/v1/*`` request to its owner shard, failing over.
+    ) -> Tuple[int, bytes, Dict[str, str]]:
+        """Route one ``/v1/*`` request body to its owner shard, failing over.
 
-        Returns ``(status, payload, headers)`` exactly like
-        :meth:`AvailabilityService.handle`, so the HTTP layer treats a
-        shard answer and a router answer identically.  When the client
+        ``key`` is the request's :meth:`routing_key`.  Returns
+        ``(status, body, headers)``: the owner shard's answer as it came
+        off the wire (``headers`` carries its ``Content-Type`` and any
+        ``Retry-After``), or the router's own JSON 503/504, so the HTTP
+        layer relays either without looking inside.  When the client
         sent a ``Traceparent`` header, the router joins that trace: a
         ``router.forward`` span wraps the whole walk, each try gets a
         ``router.attempt`` child (the failover hop is the attempt with
@@ -479,22 +512,15 @@ class ClusterService:
         context = tracecontext.parse_traceparent(traceparent)
         with tracecontext.trace_scope(context):
             with obs.span("router.forward", endpoint=path):
-                result = self._forward_with_failover(
-                    path, document, header_key
-                )
+                result = self._forward_with_failover(path, body, key)
         obs.histogram("cluster_request_seconds", endpoint=path).observe(
             time.perf_counter() - started
         )
         return result
 
     def _forward_with_failover(
-        self,
-        path: str,
-        document: Mapping[str, Any],
-        header_key: Optional[str],
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        key = self.routing_key(path, document, header_key)
-        body = json.dumps(dict(document)).encode("utf-8")
+        self, path: str, body: bytes, key: str
+    ) -> Tuple[int, bytes, Dict[str, str]]:
         base_headers = {
             "Content-Type": "application/json",
             "Idempotency-Key": key,
@@ -539,11 +565,10 @@ class ClusterService:
                     return self._forward_once(pool, path, body, headers)
             except TimeoutError:
                 # Slow is not dead: answer 504, leave membership alone.
-                return (
+                return _json_answer(
                     504,
                     {"error": f"{owner} timed out after "
                               f"{self.config.forward_timeout_seconds}s"},
-                    {},
                 )
             except ConnectionError:
                 if shard.alive and owner not in retried_alive:
@@ -570,7 +595,7 @@ class ClusterService:
                     target=self._recover, args=(shard,), daemon=True
                 ).start()
         obs.counter("cluster_shed_total").inc()
-        return (
+        return _json_answer(
             503,
             {"error": "no shard available", "retry_after_seconds": 1},
             {"Retry-After": "1"},
@@ -601,7 +626,7 @@ class ClusterService:
         path: str,
         body: bytes,
         headers: Mapping[str, str],
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, bytes, Dict[str, str]]:
         conn = pool.acquire()
         try:
             conn.request("POST", path, body=body, headers=dict(headers))
@@ -617,16 +642,12 @@ class ClusterService:
             pool.discard(conn)
         else:
             pool.release(conn)
-        try:
-            document = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            document = {"error": "shard returned a non-JSON body"}
         out_headers = {
             name: reply.headers[name]
             for name in self._FORWARD_HEADERS
             if reply.headers.get(name)
         }
-        return reply.status, document, out_headers
+        return reply.status, payload, out_headers
 
     # Aggregation ---------------------------------------------------------
 
@@ -810,15 +831,11 @@ class ClusterService:
             self._own_recorder = None
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Thin JSON/proxy shim over :class:`ClusterService`."""
+class _RouterHandler(MessageHandler):
+    """Byte-forwarding proxy shim over :class:`ClusterService`."""
 
     server_version = "repro-avail-router/1"
-    protocol_version = "HTTP/1.1"
-    # Same rationale as the shard handler: a keep-alive exchange must
-    # not wait out the peer's delayed ACK between header and body
-    # segments (Nagle would add ~40 ms to every routed request).
-    disable_nagle_algorithm = True
+    orphaned_counter = "cluster_responses_orphaned_total"
 
     @property
     def cluster(self) -> ClusterService:
@@ -827,96 +844,70 @@ class _RouterHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         obs.event("cluster.http", message=format % args)
 
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def do_GET(self) -> None:
         if self.path == "/metrics":
-            body = self.cluster.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            self.send_body(
+                200,
+                self.cluster.metrics_text().encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
             )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
             return
         if self.path == "/healthz":
             status, payload, headers = self.cluster.healthz()
-            self._send_json(status, payload, headers)
+            self.send_json(status, payload, headers)
             return
         if self.path == "/cluster/status":
-            self._send_json(200, self.cluster.cluster_status())
+            self.send_json(200, self.cluster.cluster_status())
             return
         if self.path == "/chaos/status":
             injector = self.cluster.injector
             if injector is None:
-                self._send_json(404, {"error": "chaos surface is disabled"})
+                self.send_json(404, {"error": "chaos surface is disabled"})
             else:
-                self._send_json(200, injector.status())
+                self.send_json(200, injector.status())
             return
-        self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
+        self.send_json(404, {"error": f"unknown endpoint {self.path!r}"})
 
     def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        max_body = self.cluster.config.shard.max_body_bytes
-        if length > max_body:
-            remaining = length
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self._send_json(
-                413,
-                {"error": f"request body exceeds {max_body} bytes"},
-            )
-            return
-        raw = self.rfile.read(length) if length else b""
-        try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": f"invalid JSON body: {exc}"})
-            return
-        if self.path == "/chaos/arm":
-            status, payload = self.cluster.chaos_arm(document)
-            self._send_json(status, payload)
+        raw = self.read_body(self.cluster.config.shard.max_body_bytes)
+        if raw is None:
             return
         if not self.path.startswith("/v1/"):
-            self._send_json(
-                404, {"error": f"unknown endpoint {self.path!r}"}
-            )
+            self._post_own_endpoint(raw)
             return
-        if not isinstance(document, dict):
-            self._send_json(
-                400,
-                {"error": "request body must be a JSON object"},
-            )
-            return
-        status, payload, headers = self.cluster.forward(
+        header_key = self.headers.get("Idempotency-Key")
+        document = None
+        if not header_key:
+            # The only parse on the forward path: a keyless request is
+            # routed on the digest the client would have sent.
+            try:
+                document = require_object(parse_body(raw))
+            except BadRequest as exc:
+                self.send_json(400, {"error": str(exc)})
+                return
+        status, body, headers = self.cluster.forward(
             self.path,
-            document,
-            self.headers.get("Idempotency-Key"),
+            raw,
+            self.cluster.routing_key(self.path, document, header_key),
             traceparent=self.headers.get(tracecontext.TRACEPARENT_HEADER),
         )
-        self._send_json(status, payload, headers)
+        content_type = headers.pop("Content-Type", "application/json")
+        self.send_body(status, body, content_type, headers)
+
+    def _post_own_endpoint(self, raw: bytes) -> None:
+        try:
+            document = parse_body(raw)
+        except BadRequest as exc:
+            self.send_json(400, {"error": str(exc)})
+            return
+        if self.path == "/chaos/arm":
+            self.send_json(*self.cluster.chaos_arm(document))
+            return
+        self.send_json(404, {"error": f"unknown endpoint {self.path!r}"})
 
 
-class _ThreadingRouter(ThreadingHTTPServer):
-    daemon_threads = True
-    request_queue_size = 128
+class _ThreadingRouter(ThreadingServer):
+    reset_counter = "cluster_connections_reset_total"
 
 
 class ClusterServer:

@@ -32,14 +32,11 @@ Config 1 oracle.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import sys
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +58,12 @@ from repro.service.fingerprint import (
     solve_fingerprint,
 )
 from repro.service.scheduler import MicroBatcher
+from repro.service.wire import (
+    MessageHandler,
+    ThreadingServer,
+    parse_body,
+    require_object,
+)
 
 #: Version of the response payload layout.
 RESPONSE_SCHEMA = 1
@@ -88,15 +91,6 @@ _ALLOWED_KEYS = {
         _COMMON_KEYS + ("samples", "seed", "metric", "sampler")
     ),
 }
-
-
-def _require_document(document: Any) -> Dict[str, Any]:
-    if not isinstance(document, dict):
-        raise BadRequest(
-            f"request body must be a JSON object, got "
-            f"{type(document).__name__}"
-        )
-    return document
 
 
 def _check_keys(endpoint: str, document: Mapping[str, Any]) -> None:
@@ -403,7 +397,7 @@ class AvailabilityService:
         return 200, payload, {}
 
     def _handle_solve(self, document: Any) -> Dict[str, Any]:
-        document = _require_document(document)
+        document = require_object(document)
         _check_keys("/v1/solve", document)
         config = self._configuration(document)
         method, abstraction = self._method(document)
@@ -456,7 +450,7 @@ class AvailabilityService:
         )
         from repro.sensitivity import parametric_sweep
 
-        document = _require_document(document)
+        document = require_object(document)
         _check_keys("/v1/sweep", document)
         config = self._configuration(document)
         method, abstraction = self._method(document)
@@ -543,7 +537,7 @@ class AvailabilityService:
             build_uncertainty_analysis,
         )
 
-        document = _require_document(document)
+        document = require_object(document)
         _check_keys("/v1/uncertainty", document)
         config = self._configuration(document)
         method, abstraction = self._method(document)
@@ -626,7 +620,7 @@ class AvailabilityService:
 
         ``count``, ``delay_seconds`` and ``tag`` are optional.
         """
-        document = _require_document(document)
+        document = require_object(document)
         unknown = set(document) - {"point", "count", "delay_seconds", "tag"}
         if unknown:
             raise BadRequest(
@@ -817,16 +811,10 @@ def _solve_payload(
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(MessageHandler):
     """Thin JSON shim over :class:`AvailabilityService`."""
 
     server_version = "repro-avail-service/1"
-    protocol_version = "HTTP/1.1"
-    # Keep-alive clients pipeline request/response exchanges on one
-    # socket; without TCP_NODELAY the kernel holds the response body
-    # segment until the peer's delayed ACK (~40 ms) arrives, which
-    # would dominate sub-millisecond cache-hit latencies.
-    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AvailabilityService:
@@ -836,71 +824,28 @@ class _Handler(BaseHTTPRequestHandler):
         # Route access logs through obs instead of bare stderr writes.
         obs.event("service.http", message=format % args)
 
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client abandoned the socket — typically a deadline
-            # timeout on a request that was still queued (the batcher
-            # cannot cancel it, so the orphan was processed anyway).
-            # Nobody is listening; drop the response without letting
-            # socketserver splat a traceback per zombie request.
-            obs.counter("service_responses_orphaned_total").inc()
-            self.close_connection = True
-
     def do_GET(self) -> None:
         if self.path == "/metrics":
-            body = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            self.send_body(
+                200,
+                self.service.metrics_text().encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8",
             )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
             return
         if self.path in ("/healthz", "/chaos/status"):
             status, payload, headers = self.service.handle(self.path, None)
-            self._send_json(status, payload, headers)
+            self.send_json(status, payload, headers)
             return
-        self._send_json(404, {"error": f"unknown endpoint {self.path!r}"})
+        self.send_json(404, {"error": f"unknown endpoint {self.path!r}"})
 
     def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.service.config.max_body_bytes:
-            # Drain the oversized body in bounded chunks before
-            # answering: responding mid-upload makes the client see a
-            # reset instead of the 413, and leaving bytes unread would
-            # poison connection reuse.
-            remaining = length
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self._send_json(
-                413,
-                {"error": f"request body exceeds "
-                          f"{self.service.config.max_body_bytes} bytes"},
-            )
+        raw = self.read_body(self.service.config.max_body_bytes)
+        if raw is None:
             return
-        raw = self.rfile.read(length) if length else b""
         try:
-            document = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": f"invalid JSON body: {exc}"})
+            document = parse_body(raw)
+        except BadRequest as exc:
+            self.send_json(400, {"error": str(exc)})
             return
         idempotency_key = self.headers.get("Idempotency-Key")
         if idempotency_key:
@@ -925,27 +870,7 @@ class _Handler(BaseHTTPRequestHandler):
             obs.event("chaos.response_drop", path=self.path, status=status)
             self.close_connection = True
             return
-        self._send_json(status, payload, headers)
-
-
-class _ThreadingServer(ThreadingHTTPServer):
-    daemon_threads = True
-    # The default listen backlog (5) drops connections under bursts of
-    # short-lived clients; load shedding belongs to the work queue, not
-    # the accept queue.
-    request_queue_size = 128
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        # A client that hit its deadline tears the socket down while the
-        # handler thread is still parked in readline(); stdlib
-        # socketserver would print a full traceback per abandoned
-        # keep-alive connection.  Count it instead — under deliberate
-        # overload (chaos campaigns) these arrive by the hundreds.
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            obs.counter("service_connections_reset_total").inc()
-            return
-        super().handle_error(request, client_address)
+        self.send_json(status, payload, headers)
 
 
 class AvailabilityServer:
@@ -966,7 +891,7 @@ class AvailabilityServer:
         self.config = config or ServiceConfig()
         self.service = AvailabilityService(self.config)
         try:
-            self._httpd = _ThreadingServer(
+            self._httpd = ThreadingServer(
                 (self.config.host, self.config.port), _Handler
             )
         except OSError:

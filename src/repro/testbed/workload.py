@@ -116,10 +116,6 @@ class WorkloadRunner:
         self.profile = profile
         self.rng = rng or np.random.default_rng()
         self.stats = WorkloadStats()
-        #: live sessions pinned per instance name
-        self._live: Dict[str, int] = {
-            name: 0 for name in cluster.instances
-        }
         #: per-instance epoch, bumped whenever the instance's sessions are
         #: failed over or lost; a completion event carries the epoch it
         #: was scheduled in, so one from an earlier epoch is stale
@@ -154,7 +150,6 @@ class WorkloadRunner:
         chosen = serving[self._next_instance % len(serving)]
         self._next_instance += 1
         name = chosen.name
-        self._live[name] += 1
         chosen.sessions += 1
         duration = self.rng.exponential(self.profile.session_duration_hours)
         engine.schedule(
@@ -170,18 +165,22 @@ class WorkloadRunner:
             # The session was failed over or lost; its original completion
             # event is stale.
             return
-        self._live[name] -= 1
         self.cluster.instances[name].sessions -= 1
         self.stats.sessions_completed += 1
         self.stats.requests_completed += self.profile.requests_per_session
 
     def _end_epoch(self, names) -> int:
-        """Drop the live sessions of ``names``; returns how many there were."""
+        """Drop the live sessions of ``names``; returns how many there were.
+
+        Observers hear of a failure before the instance is taken down,
+        so each instance's ``sessions`` still counts its live sessions.
+        """
         ended = 0
         for name in names:
+            instance = self.cluster.instances[name]
             self._epoch[name] += 1
-            ended += self._live[name]
-            self._live[name] = 0
+            ended += instance.sessions
+            instance.sessions = 0
         return ended
 
     # Cluster observer hooks ------------------------------------------------
@@ -201,7 +200,6 @@ class WorkloadRunner:
             self.stats.sessions_failed_over += n_sessions
             for k in range(n_sessions):
                 target = survivors[k % len(survivors)]
-                self._live[target] += 1
                 self.cluster.instances[target].sessions += 1
                 remaining = self.rng.exponential(
                     self.profile.session_duration_hours
@@ -228,6 +226,4 @@ class WorkloadRunner:
         self._lose_all_sessions()
 
     def _lose_all_sessions(self) -> None:
-        self.stats.transactions_lost += self._end_epoch(self._live)
-        for instance in self.cluster.instances.values():
-            instance.sessions = 0
+        self.stats.transactions_lost += self._end_epoch(self.cluster.instances)

@@ -1,18 +1,25 @@
 """Cluster router: parity, sticky routing, aggregation, failover."""
 
+import http.client
+import json
+import re
 import time
+import urllib.parse
 
 import pytest
 
 from repro.models.jsas import CONFIG_1, PAPER_PARAMETERS
 from repro.service import (
+    AvailabilityService,
     ClusterConfig,
     ClusterServer,
     ServiceClient,
     ServiceConfig,
+    cluster as cluster_module,
     idempotency_key,
+    wire as wire_module,
 )
-from repro.service.errors import BadRequest, ServiceClientError
+from repro.service.errors import BadRequest, Overloaded, ServiceClientError
 
 
 N_SHARDS = 2
@@ -32,7 +39,8 @@ def router():
 
 @pytest.fixture(scope="module")
 def client(router):
-    return ServiceClient(router.url, timeout=60.0)
+    with ServiceClient(router.url, timeout=60.0) as client:
+        yield client
 
 
 def wait_for_full_ring(router, timeout=30.0):
@@ -159,6 +167,157 @@ class TestHttpEdges:
     def test_kill_unknown_shard_rejected(self, router):
         with pytest.raises(BadRequest, match="unknown shard"):
             router.cluster.kill_shard("shard-99")
+
+
+class TestPassThrough:
+    def test_keyed_solve_runs_no_json_in_the_router(
+        self, client, monkeypatch
+    ):
+        """A request carrying its Idempotency-Key is routed on the header
+        and relayed as bytes: the router never parses or re-encodes it."""
+
+        class NoJson:
+            def __getattr__(self, name):
+                raise AssertionError(f"router called json.{name}")
+
+        monkeypatch.setattr(cluster_module, "json", NoJson())
+        monkeypatch.setattr(wire_module, "json", NoJson())
+        response = client.solve(
+            n_instances=2, n_pairs=2, parameters={"Tstart_long_as": 1.77}
+        )
+        values = PAPER_PARAMETERS.to_dict()
+        values["Tstart_long_as"] = 1.77
+        assert response["availability"] == CONFIG_1.solve(
+            values
+        ).availability
+        assert client.last_attempts == 1
+
+
+# Router error paths --------------------------------------------------------
+#
+# The same bytes go to a one-shard router and straight to that shard;
+# the router must answer exactly as the lone shard does.
+
+MAX_BODY = 4096
+#: ``n_pairs`` value the test shard sheds with 429 + ``Retry-After: 7``.
+SHED_PAIRS = 99
+KEYED = {"Idempotency-Key": "0" * 64}
+
+
+def _shedding(handle_solve):
+    def shed_marked(self, document):
+        if isinstance(document, dict) and document.get("n_pairs") == SHED_PAIRS:
+            raise Overloaded("queue full", retry_after_seconds=7.0)
+        return handle_solve(self, document)
+
+    return shed_marked
+
+
+@pytest.fixture(scope="module")
+def routed_and_lone():
+    """``(router_url, shard_url)`` for a one-shard cluster.
+
+    The shard is forked while its solve handler is patched to shed
+    marked requests, so a real shard 429 is reproducible.
+    """
+    config = ClusterConfig(
+        port=0,
+        n_shards=1,
+        shard=ServiceConfig(
+            port=0, workers=1, cache_size=64, max_body_bytes=MAX_BODY
+        ),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            AvailabilityService,
+            "_handle_solve",
+            _shedding(AvailabilityService._handle_solve),
+        )
+        srv = ClusterServer(config)
+    with srv:
+        port = srv.cluster.cluster_status()["shards"]["shard-0"]["port"]
+        yield srv.url, f"http://127.0.0.1:{port}"
+
+
+def exchange(url, path, body, headers):
+    """POST raw ``body``; returns ``(status, relayed headers, body)``."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=60)
+    try:
+        conn.request(
+            "POST",
+            path,
+            body=body,
+            headers={"Content-Type": "application/json", **headers},
+        )
+        reply = conn.getresponse()
+        relayed = {
+            name: reply.headers.get(name)
+            for name in ("Content-Type", "Retry-After")
+        }
+        return reply.status, relayed, reply.read()
+    finally:
+        conn.close()
+
+
+def without_duration(body):
+    assert b'"duration_ms": ' in body
+    return re.sub(rb'"duration_ms": [^,}]+', b'"duration_ms": 0', body)
+
+
+ERROR_CASES = {
+    "invalid-json-keyed": ("/v1/solve", b"{not json", KEYED, 400),
+    "invalid-json-unkeyed": ("/v1/solve", b"{not json", {}, 400),
+    "non-object-keyed": ("/v1/solve", b"[1, 2]", KEYED, 400),
+    "non-object-unkeyed": ("/v1/solve", b"[1, 2]", {}, 400),
+    "oversized": ("/v1/solve", b" " * (MAX_BODY + 1), KEYED, 413),
+    "unknown-path-keyed": ("/v1/nope", b"{}", KEYED, 404),
+    "unknown-path-unkeyed": ("/v1/nope", b"{}", {}, 404),
+    "shard-shed": (
+        "/v1/solve",
+        json.dumps({"n_pairs": SHED_PAIRS}).encode(),
+        KEYED,
+        429,
+    ),
+}
+
+
+class TestRouterMatchesLoneShard:
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_error_answer_matches(self, routed_and_lone, case):
+        path, body, headers, expected = ERROR_CASES[case]
+        routed_url, shard_url = routed_and_lone
+        routed = exchange(routed_url, path, body, headers)
+        direct = exchange(shard_url, path, body, headers)
+        assert routed[0] == direct[0] == expected
+        assert routed[1] == direct[1]
+        assert routed[2] == direct[2]
+        assert "error" in json.loads(routed[2])
+        if expected == 429:
+            assert routed[1]["Retry-After"] == "7"
+
+    @pytest.mark.parametrize(
+        "path, document",
+        [
+            ("/v1/solve", {"parameters": {"Tstart_long_as": 1.23}}),
+            # ~75 KB: one message larger than a loopback segment.
+            ("/v1/sweep", {"points": 1000}),
+        ],
+    )
+    def test_keyed_answer_identical_apart_from_duration(
+        self, routed_and_lone, path, document
+    ):
+        routed_url, shard_url = routed_and_lone
+        body = json.dumps(document).encode()
+        headers = {"Idempotency-Key": idempotency_key(path, document)}
+        # Warm the shard's cache so both answers below are hits.
+        assert exchange(shard_url, path, body, headers)[0] == 200
+        routed = exchange(routed_url, path, body, headers)
+        direct = exchange(shard_url, path, body, headers)
+        assert routed[0] == direct[0] == 200
+        assert routed[1] == direct[1]
+        assert without_duration(routed[2]) == without_duration(direct[2])
+        assert json.loads(routed[2])["serving"]["cache"] == "hit"
 
 
 class TestFailover:

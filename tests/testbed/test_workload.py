@@ -24,6 +24,14 @@ def make_rig(seed=0, profile=None, **config_kwargs):
     return engine, cluster, runner
 
 
+def sessions_by_name(cluster):
+    return {name: i.sessions for name, i in cluster.instances.items()}
+
+
+def open_sessions(cluster):
+    return sum(sessions_by_name(cluster).values())
+
+
 class TestWorkloadProfile:
     def test_defaults_valid(self):
         profile = WorkloadProfile()
@@ -58,7 +66,7 @@ class TestSteadyOperation:
     def test_round_robin_balances(self):
         engine, cluster, runner = make_rig()
         engine.run_until(5.0)
-        live = runner._live
+        live = sessions_by_name(cluster)
         total = sum(live.values())
         if total > 100:
             ratio = live["as1"] / max(1, live["as2"])
@@ -69,13 +77,13 @@ class TestFailureInteraction:
     def test_failover_moves_sessions(self):
         engine, cluster, runner = make_rig()
         engine.run_until(2.0)
-        before = sum(runner._live.values())
+        before = open_sessions(cluster)
         assert before > 0
         cluster.inject(FaultSpec("as_kill_processes", target="as1"))
         stats = runner.stats
         assert stats.sessions_failed_over > 0
         assert stats.transactions_lost == 0
-        assert runner._live["as1"] == 0
+        assert cluster.instances["as1"].sessions == 0
 
     def test_total_outage_loses_transactions(self):
         engine, cluster, runner = make_rig()
@@ -95,7 +103,7 @@ class TestFailureInteraction:
     def test_pair_loss_destroys_session_state(self):
         engine, cluster, runner = make_rig()
         engine.run_until(2.0)
-        live_before = sum(runner._live.values())
+        live_before = open_sessions(cluster)
         assert live_before > 0
         cluster.inject(FaultSpec("hadb_kill_all_processes", target="hadb-0a"))
         cluster.inject(FaultSpec("hadb_kill_all_processes", target="hadb-0b"))
@@ -116,11 +124,11 @@ class LedgerEngine(SimulationEngine):
             scheduled_at = self.now
 
             def completes(engine, event_payload, _callback=callback):
-                before = dict(self.runner._live)
+                before = sessions_by_name(self.runner.cluster)
                 _callback(engine, event_payload)
+                after = sessions_by_name(self.runner.cluster)
                 ended = sorted(
-                    name for name, n in self.runner._live.items()
-                    if n < before[name]
+                    name for name, n in after.items() if n < before[name]
                 )
                 self.completions.append((scheduled_at, engine.now, ended))
 
@@ -141,14 +149,14 @@ class TestStaleCompletions:
         cluster.add_observer(runner)
         runner.start()
         engine.run_until(2.0)
-        assert runner._live["as1"] > 0
+        assert cluster.instances["as1"].sessions > 0
         failed_at = engine.now
         cluster.inject(FaultSpec("as_kill_processes", target="as1"))
         while not cluster.instances["as1"].serving:
             engine.run_until(engine.now + 1.0 / 3600.0)
         rejoined_at = engine.now
         engine.run_until(rejoined_at + 1.0)
-        assert runner._live["as1"] > 0
+        assert cluster.instances["as1"].sessions > 0
 
         # Completions scheduled before the failure that fire after as1
         # rejoined: as2's own sessions end, as1's are stale and end
@@ -169,12 +177,10 @@ class TestStaleCompletions:
         engine.run_until(5.0)
         stats = runner.stats
         assert stats.sessions_failed_over > 0
-        open_sessions = sum(runner._live.values())
-        assert open_sessions == sum(
-            instance.sessions for instance in cluster.instances.values()
-        )
         assert stats.sessions_started == (
-            stats.sessions_completed + stats.transactions_lost + open_sessions
+            stats.sessions_completed
+            + stats.transactions_lost
+            + open_sessions(cluster)
         )
 
 
@@ -193,9 +199,10 @@ class TestRoundRobinOrder:
 
         chosen = []
         for _ in range(2 * len(serving) + 3):
-            before = dict(runner._live)
+            before = sessions_by_name(cluster)
             runner._session_arrives(engine, None)
-            chosen += [n for n in runner._live if runner._live[n] > before[n]]
+            after = sessions_by_name(cluster)
+            chosen += [n for n in after if after[n] > before[n]]
         assert chosen == [
             serving[k % len(serving)] for k in range(len(chosen))
         ]
